@@ -148,6 +148,43 @@ void BM_GemmSparseAware(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmSparseAware)->Arg(32)->Arg(64)->Arg(128);
 
+// MatMul's two gradient products at the detector's backward shapes: a
+// [rows x 64] hidden state times a 64 x 256 (4 gates x 64 units) weight.
+// Arg is rows, the mini-batch B. Weight gradient: W.grad [64 x 256] +=
+// h^T [64 x rows] * g [rows x 256].
+void BM_GemmTransposeA(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  Rng rng(43);
+  const nn::Matrix h = nn::Matrix::Uniform(rows, 64, 1.0f, &rng);
+  const nn::Matrix g = nn::Matrix::Uniform(rows, 256, 1.0f, &rng);
+  nn::Matrix w_grad(64, 256);
+  for (auto _ : state) {
+    nn::MatMulTransposeAAccumulate(h, g, &w_grad);
+    benchmark::DoNotOptimize(w_grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * rows * 64 * 256);
+}
+BENCHMARK(BM_GemmTransposeA)->Arg(8)->Arg(32)->Arg(128);
+
+// Input gradient: h.grad [rows x 64] += g [rows x 256] * W^T, with W^T
+// built once outside the loop as nn::Backward's per-pass cache does.
+void BM_GemmTransposeB(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  Rng rng(44);
+  const nn::Matrix g = nn::Matrix::Uniform(rows, 256, 1.0f, &rng);
+  const nn::Matrix w = nn::Matrix::Uniform(64, 256, 1.0f, &rng);
+  const nn::Matrix w_t = nn::Transposed(w);
+  nn::Matrix h_grad(rows, 64);
+  for (auto _ : state) {
+    nn::MatMulTransposeBAccumulate(g, w, &h_grad, &w_t);
+    benchmark::DoNotOptimize(h_grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * rows * 256 * 64);
+}
+BENCHMARK(BM_GemmTransposeB)->Arg(8)->Arg(32)->Arg(128);
+
 void BM_LstmForwardSequence(benchmark::State& state) {
   const int steps = static_cast<int>(state.range(0));
   Rng rng(51);

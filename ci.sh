@@ -21,10 +21,10 @@
 # `lead_cli obs report` with the right cause, the sampling profiler must
 # attribute >=90% of fig8 samples to named span categories, and
 # bench_trend prints its warn-only trend table), an
-# ASan/UBSan-instrumented build of the nn-layer and
-# io/serialize tests
-# (the batched step kernels, autograd, and binary checkpoint parsing are
-# where memory bugs would hide), and a TSan build of the multi-threaded
+# ASan/UBSan-instrumented build of the nn-layer, io/serialize and golden
+# tests
+# (the batched step kernels, autograd, SIMD GEMM tails and binary
+# checkpoint parsing are where memory bugs would hide), and a TSan build of the multi-threaded
 # suites (parallel parity, resilience under parallel training, and the
 # end-to-end lead tests).
 #
@@ -202,9 +202,12 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
+# golden_detect_test trains 1+1 epochs, so the SIMD gradient kernels'
+# tails and nn::Backward's per-pass transpose cache run under the
+# sanitizers on a real training path.
 NN_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
           ops_reference_test batch_test io_test gpx_test \
-          serialize_robustness_test)
+          serialize_robustness_test golden_detect_test)
 cmake --build build-asan -j --target "${NN_TESTS[@]}"
 for t in "${NN_TESTS[@]}"; do
   echo "--- $t (ASan/UBSan) ---"

@@ -34,22 +34,16 @@ void Matrix::Fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
-                       int k, int n) {
+namespace internal {
+
+void GemmAccumulateRawScalar(const float* a, const float* b, float* out,
+                             int m, int k, int n) {
   // Register-blocked i-k-j: 4 rows of a share one streaming pass over b,
   // so each b row is loaded once per 4 output rows instead of once per
   // output row. The inner loop is branch-free (the old `a_ip == 0`
   // shortcut is an unpredictable branch on dense operands; see
   // MatMulAccumulateSparseA). On AVX2-capable CPUs the same blocking runs
   // 8 lanes wide with identical per-element rounding (simd_gemm.h).
-  if (internal::GemmAvx512Available()) {
-    internal::GemmAccumulateRawAvx512(a, b, out, m, k, n);
-    return;
-  }
-  if (internal::GemmAvx2Available()) {
-    internal::GemmAccumulateRawAvx2(a, b, out, m, k, n);
-    return;
-  }
   auto row_of = [](const float* base, int r, int stride) {
     return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
   };
@@ -89,6 +83,101 @@ void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
       }
     }
   }
+}
+
+void GemmTransposeAAccumulateRawScalar(const float* a, const float* b,
+                                       float* out, int m, int k, int n) {
+  auto row_of = [](const float* base, int r, int stride) {
+    return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
+  };
+  // Blocked over 4 shared rows of a/b per sweep so each out row is
+  // loaded/stored once per 4 accumulated rank-1 updates.
+  int p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const float* a0 = row_of(a, p, m);
+    const float* a1 = row_of(a, p + 1, m);
+    const float* a2 = row_of(a, p + 2, m);
+    const float* a3 = row_of(a, p + 3, m);
+    const float* b0 = row_of(b, p, n);
+    const float* b1 = row_of(b, p + 1, n);
+    const float* b2 = row_of(b, p + 2, n);
+    const float* b3 = row_of(b, p + 3, n);
+    for (int i = 0; i < m; ++i) {
+      const float a0i = a0[i];
+      const float a1i = a1[i];
+      const float a2i = a2[i];
+      const float a3i = a3[i];
+      float* out_row = out + static_cast<size_t>(i) * static_cast<size_t>(n);
+      for (int j = 0; j < n; ++j) {
+        out_row[j] += a0i * b0[j] + a1i * b1[j] + a2i * b2[j] + a3i * b3[j];
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    const float* a_row = row_of(a, p, m);
+    const float* b_row = row_of(b, p, n);
+    for (int i = 0; i < m; ++i) {
+      const float a_pi = a_row[i];
+      float* out_row = out + static_cast<size_t>(i) * static_cast<size_t>(n);
+      for (int j = 0; j < n; ++j) {
+        out_row[j] += a_pi * b_row[j];
+      }
+    }
+  }
+}
+
+void GemmTransposeBAccumulateRawScalar(const float* a, const float* b,
+                                       float* out, int m, int k, int n) {
+  auto row_of = [](const float* base, int r, int stride) {
+    return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
+  };
+  // 4 dot products per pass over a_row: one load of a feeds 4 outputs.
+  for (int i = 0; i < m; ++i) {
+    const float* a_row = row_of(a, i, k);
+    float* out_row = out + static_cast<size_t>(i) * static_cast<size_t>(n);
+    int j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const float* b0 = row_of(b, j, k);
+      const float* b1 = row_of(b, j + 1, k);
+      const float* b2 = row_of(b, j + 2, k);
+      const float* b3 = row_of(b, j + 3, k);
+      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
+      for (int p = 0; p < k; ++p) {
+        const float av = a_row[p];
+        d0 += av * b0[p];
+        d1 += av * b1[p];
+        d2 += av * b2[p];
+        d3 += av * b3[p];
+      }
+      out_row[j] += d0;
+      out_row[j + 1] += d1;
+      out_row[j + 2] += d2;
+      out_row[j + 3] += d3;
+    }
+    for (; j < n; ++j) {
+      const float* b_row = row_of(b, j, k);
+      float dot = 0.0f;
+      for (int p = 0; p < k; ++p) {
+        dot += a_row[p] * b_row[p];
+      }
+      out_row[j] += dot;
+    }
+  }
+}
+
+}  // namespace internal
+
+void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
+                       int k, int n) {
+  if (internal::GemmAvx512Available()) {
+    internal::GemmAccumulateRawAvx512(a, b, out, m, k, n);
+    return;
+  }
+  if (internal::GemmAvx2Available()) {
+    internal::GemmAccumulateRawAvx2(a, b, out, m, k, n);
+    return;
+  }
+  internal::GemmAccumulateRawScalar(a, b, out, m, k, n);
 }
 
 void GemmOverwriteRaw(const float* a, const float* b, float* out, int m,
@@ -201,82 +290,60 @@ void MatMulTransposeAAccumulate(const Matrix& a, const Matrix& b,
   const int k = a.rows();
   const int m = a.cols();
   const int n = b.cols();
-  // Blocked over 4 shared rows of a/b per sweep so each out row is
-  // loaded/stored once per 4 accumulated rank-1 updates.
-  int p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const float* a0 = a.row(p);
-    const float* a1 = a.row(p + 1);
-    const float* a2 = a.row(p + 2);
-    const float* a3 = a.row(p + 3);
-    const float* b0 = b.row(p);
-    const float* b1 = b.row(p + 1);
-    const float* b2 = b.row(p + 2);
-    const float* b3 = b.row(p + 3);
-    for (int i = 0; i < m; ++i) {
-      const float a0i = a0[i];
-      const float a1i = a1[i];
-      const float a2i = a2[i];
-      const float a3i = a3[i];
-      float* out_row = out->row(i);
-      for (int j = 0; j < n; ++j) {
-        out_row[j] += a0i * b0[j] + a1i * b1[j] + a2i * b2[j] + a3i * b3[j];
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    const float* a_row = a.row(p);
-    const float* b_row = b.row(p);
-    for (int i = 0; i < m; ++i) {
-      const float a_pi = a_row[i];
-      float* out_row = out->row(i);
-      for (int j = 0; j < n; ++j) {
-        out_row[j] += a_pi * b_row[j];
-      }
-    }
+  if (internal::GemmAvx512Available()) {
+    internal::GemmTransposeAAccumulateRawAvx512(a.data(), b.data(),
+                                                out->data(), m, k, n);
+  } else if (internal::GemmAvx2Available()) {
+    internal::GemmTransposeAAccumulateRawAvx2(a.data(), b.data(),
+                                              out->data(), m, k, n);
+  } else {
+    internal::GemmTransposeAAccumulateRawScalar(a.data(), b.data(),
+                                                out->data(), m, k, n);
   }
 }
 
 void MatMulTransposeBAccumulate(const Matrix& a, const Matrix& b,
-                                Matrix* out) {
+                                Matrix* out, const Matrix* b_t) {
   LEAD_CHECK_EQ(a.cols(), b.cols());
   LEAD_CHECK_EQ(out->rows(), a.rows());
   LEAD_CHECK_EQ(out->cols(), b.rows());
   const int m = a.rows();
   const int k = a.cols();
   const int n = b.rows();
-  // 4 dot products per pass over a_row: one load of a feeds 4 outputs.
-  for (int i = 0; i < m; ++i) {
-    const float* a_row = a.row(i);
-    float* out_row = out->row(i);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b.row(j);
-      const float* b1 = b.row(j + 1);
-      const float* b2 = b.row(j + 2);
-      const float* b3 = b.row(j + 3);
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        const float av = a_row[p];
-        d0 += av * b0[p];
-        d1 += av * b1[p];
-        d2 += av * b2[p];
-        d3 += av * b3[p];
-      }
-      out_row[j] += d0;
-      out_row[j + 1] += d1;
-      out_row[j + 2] += d2;
-      out_row[j + 3] += d3;
-    }
-    for (; j < n; ++j) {
-      const float* b_row = b.row(j);
-      float dot = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        dot += a_row[p] * b_row[p];
-      }
-      out_row[j] += dot;
-    }
+  if (!GemmSimdAvailable()) {
+    internal::GemmTransposeBAccumulateRawScalar(a.data(), b.data(),
+                                                out->data(), m, k, n);
+    return;
   }
+  // Vectorizing over j needs b's columns contiguous: with b^T each dot
+  // product is the forward GEMM's column sum started from zero.
+  Matrix transposed;
+  if (b_t == nullptr) {
+    transposed = Transposed(b);
+    b_t = &transposed;
+  }
+  LEAD_CHECK_EQ(b_t->rows(), k);
+  LEAD_CHECK_EQ(b_t->cols(), n);
+  if (internal::GemmAvx512Available()) {
+    internal::GemmAddProductRawAvx512(a.data(), b_t->data(), out->data(), m,
+                                      k, n);
+  } else {
+    internal::GemmAddProductRawAvx2(a.data(), b_t->data(), out->data(), m, k,
+                                    n);
+  }
+}
+
+Matrix Transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (int r = 0; r < m.rows(); ++r) {
+    const float* row = m.row(r);
+    for (int c = 0; c < m.cols(); ++c) t.at(c, r) = row[c];
+  }
+  return t;
+}
+
+bool GemmSimdAvailable() {
+  return internal::GemmAvx512Available() || internal::GemmAvx2Available();
 }
 
 }  // namespace lead::nn

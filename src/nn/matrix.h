@@ -126,12 +126,27 @@ void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
 // a net loss on dense operands (see BM_GemmSparseAware in
 // bench/micro_substrates.cc).
 void MatMulAccumulateSparseA(const Matrix& a, const Matrix& b, Matrix* out);
-// out += a^T * b. Shapes: a [k x m], b [k x n], out [m x n].
+// out += a^T * b (MatMul's weight gradient x^T * g). Shapes: a [k x m],
+// b [k x n], out [m x n]. Each 4-row block of p is summed
+// ((a0 b0 + a1 b1) + a2 b2) + a3 b3 and added to out, then each leftover
+// row's product is added; every dispatch path rounds this way.
 void MatMulTransposeAAccumulate(const Matrix& a, const Matrix& b,
                                 Matrix* out);
-// out += a * b^T. Shapes: a [m x k], b [n x k], out [m x n].
+// out += a * b^T (MatMul's input gradient g * W^T). Shapes: a [m x k],
+// b [n x k], out [m x n]. Each dot product is summed from +0 in k order,
+// then added to out. The SIMD kernels read b^T: pass it as `b_t`
+// ([k x n], equal to Transposed(b)) to share one transpose across calls,
+// as nn::Backward does once per weight per pass; without it they
+// transpose b into a temporary. The scalar path ignores `b_t`.
 void MatMulTransposeBAccumulate(const Matrix& a, const Matrix& b,
-                                Matrix* out);
+                                Matrix* out, const Matrix* b_t = nullptr);
+
+// m^T as a new [m.cols() x m.rows()] matrix.
+[[nodiscard]] Matrix Transposed(const Matrix& m);
+
+// True when the GEMM entry points run an AVX2 or AVX-512 kernel on this
+// host (simd_gemm.h); MatMulTransposeBAccumulate then reads b^T.
+bool GemmSimdAvailable();
 
 // Raw row-major core of MatMulAccumulate, shared by the Matrix wrapper
 // above and the registered MatMul plan kernel (op_kernels.cc), which
@@ -162,6 +177,22 @@ void EwMulRaw(const float* a, const float* b, float* out, int n);
 // out row r = a row r * s[r] (s [rows x 1]).
 void EwScaleRowsRaw(const float* a, const float* s, float* out, int rows,
                     int cols);
+
+namespace internal {
+// The scalar GEMM loops: the fallback on hosts without AVX2 and the
+// reference each SIMD kernel (simd_gemm.h) must match bit for bit.
+// out[m x n] += a[m x k] * b[k x n] (GemmAccumulateRaw's loop).
+void GemmAccumulateRawScalar(const float* a, const float* b, float* out,
+                             int m, int k, int n);
+// out[m x n] += a^T * b with a [k x m], b [k x n]
+// (MatMulTransposeAAccumulate's loop).
+void GemmTransposeAAccumulateRawScalar(const float* a, const float* b,
+                                       float* out, int m, int k, int n);
+// out[m x n] += a * b^T with a [m x k], b [n x k]
+// (MatMulTransposeBAccumulate's loop).
+void GemmTransposeBAccumulateRawScalar(const float* a, const float* b,
+                                       float* out, int m, int k, int n);
+}  // namespace internal
 
 }  // namespace lead::nn
 

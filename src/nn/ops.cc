@@ -177,7 +177,8 @@ Variable MatMul(const Variable& a, const Variable& b) {
       std::move(out), {a, b}, [an, bn](const Matrix& g) {
         if (an->requires_grad) {
           an->EnsureGrad();
-          MatMulTransposeBAccumulate(g, bn->value, &an->grad);
+          MatMulTransposeBAccumulate(g, bn->value, &an->grad,
+                                     internal::PassTranspose(bn));
         }
         if (bn->requires_grad) {
           bn->EnsureGrad();

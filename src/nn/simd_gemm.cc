@@ -34,10 +34,42 @@ bool GemmAvx2Available() {
 
 namespace {
 
-// kAccumulate selects out += a*b vs out = a*b. The overwrite variant
-// starts the register accumulators at zero — bit-identical to
-// accumulating into a zero-filled buffer, minus the fill and reload.
-template <bool kAccumulate>
+// How a kernel combines its product with the existing output:
+//   kOverwrite:  out = (((0 + a_i0 b_0j) + a_i1 b_1j) + ...)
+//   kAccumulate: out = (((out + a_i0 b_0j) + a_i1 b_1j) + ...)
+//   kAddProduct: out = out + (((0 + a_i0 b_0j) + a_i1 b_1j) + ...)
+// kOverwrite is bit-identical to accumulating into a zero-filled buffer,
+// minus the fill and reload; kAddProduct is the input-gradient rounding
+// (simd_gemm.h).
+enum class Mode { kOverwrite, kAccumulate, kAddProduct };
+
+template <Mode kMode>
+__m256 LoadTile(const float* o) {
+  if constexpr (kMode == Mode::kAccumulate) return _mm256_loadu_ps(o);
+  return _mm256_setzero_ps();
+}
+
+template <Mode kMode>
+void StoreTile(float* o, __m256 c) {
+  if constexpr (kMode == Mode::kAddProduct) {
+    c = _mm256_add_ps(_mm256_loadu_ps(o), c);
+  }
+  _mm256_storeu_ps(o, c);
+}
+
+template <Mode kMode>
+float LoadScalar(const float* o) {
+  if constexpr (kMode == Mode::kAccumulate) return *o;
+  return 0.0f;
+}
+
+template <Mode kMode>
+void StoreScalar(float* o, float c) {
+  if constexpr (kMode == Mode::kAddProduct) c = *o + c;
+  *o = c;
+}
+
+template <Mode kMode>
 void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
                   int n) {
   auto row_of = [](const float* base, int r, int stride) {
@@ -55,18 +87,14 @@ void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
       float* o1 = o0 + n;
       float* o2 = o1 + n;
       float* o3 = o2 + n;
-      __m256 c00 = kAccumulate ? _mm256_loadu_ps(o0) : _mm256_setzero_ps();
-      __m256 c01 =
-          kAccumulate ? _mm256_loadu_ps(o0 + 8) : _mm256_setzero_ps();
-      __m256 c10 = kAccumulate ? _mm256_loadu_ps(o1) : _mm256_setzero_ps();
-      __m256 c11 =
-          kAccumulate ? _mm256_loadu_ps(o1 + 8) : _mm256_setzero_ps();
-      __m256 c20 = kAccumulate ? _mm256_loadu_ps(o2) : _mm256_setzero_ps();
-      __m256 c21 =
-          kAccumulate ? _mm256_loadu_ps(o2 + 8) : _mm256_setzero_ps();
-      __m256 c30 = kAccumulate ? _mm256_loadu_ps(o3) : _mm256_setzero_ps();
-      __m256 c31 =
-          kAccumulate ? _mm256_loadu_ps(o3 + 8) : _mm256_setzero_ps();
+      __m256 c00 = LoadTile<kMode>(o0);
+      __m256 c01 = LoadTile<kMode>(o0 + 8);
+      __m256 c10 = LoadTile<kMode>(o1);
+      __m256 c11 = LoadTile<kMode>(o1 + 8);
+      __m256 c20 = LoadTile<kMode>(o2);
+      __m256 c21 = LoadTile<kMode>(o2 + 8);
+      __m256 c30 = LoadTile<kMode>(o3);
+      __m256 c31 = LoadTile<kMode>(o3 + 8);
       const float* bp = b + j;
       for (int p = 0; p < k; ++p, bp += n) {
         const __m256 b0 = _mm256_loadu_ps(bp);
@@ -84,29 +112,28 @@ void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
         c30 = _mm256_add_ps(c30, _mm256_mul_ps(va, b0));
         c31 = _mm256_add_ps(c31, _mm256_mul_ps(va, b1));
       }
-      _mm256_storeu_ps(o0, c00);
-      _mm256_storeu_ps(o0 + 8, c01);
-      _mm256_storeu_ps(o1, c10);
-      _mm256_storeu_ps(o1 + 8, c11);
-      _mm256_storeu_ps(o2, c20);
-      _mm256_storeu_ps(o2 + 8, c21);
-      _mm256_storeu_ps(o3, c30);
-      _mm256_storeu_ps(o3 + 8, c31);
+      StoreTile<kMode>(o0, c00);
+      StoreTile<kMode>(o0 + 8, c01);
+      StoreTile<kMode>(o1, c10);
+      StoreTile<kMode>(o1 + 8, c11);
+      StoreTile<kMode>(o2, c20);
+      StoreTile<kMode>(o2 + 8, c21);
+      StoreTile<kMode>(o3, c30);
+      StoreTile<kMode>(o3 + 8, c31);
     }
     for (; i < m; ++i) {
       const float* ai = row_of(a, i, k);
       float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      __m256 c0 = kAccumulate ? _mm256_loadu_ps(oi) : _mm256_setzero_ps();
-      __m256 c1 =
-          kAccumulate ? _mm256_loadu_ps(oi + 8) : _mm256_setzero_ps();
+      __m256 c0 = LoadTile<kMode>(oi);
+      __m256 c1 = LoadTile<kMode>(oi + 8);
       const float* bp = b + j;
       for (int p = 0; p < k; ++p, bp += n) {
         const __m256 va = _mm256_set1_ps(ai[p]);
         c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
         c1 = _mm256_add_ps(c1, _mm256_mul_ps(va, _mm256_loadu_ps(bp + 8)));
       }
-      _mm256_storeu_ps(oi, c0);
-      _mm256_storeu_ps(oi + 8, c1);
+      StoreTile<kMode>(oi, c0);
+      StoreTile<kMode>(oi + 8, c1);
     }
   }
   for (; j + 8 <= n; j += 8) {
@@ -120,10 +147,10 @@ void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
       float* o1 = o0 + n;
       float* o2 = o1 + n;
       float* o3 = o2 + n;
-      __m256 c0 = kAccumulate ? _mm256_loadu_ps(o0) : _mm256_setzero_ps();
-      __m256 c1 = kAccumulate ? _mm256_loadu_ps(o1) : _mm256_setzero_ps();
-      __m256 c2 = kAccumulate ? _mm256_loadu_ps(o2) : _mm256_setzero_ps();
-      __m256 c3 = kAccumulate ? _mm256_loadu_ps(o3) : _mm256_setzero_ps();
+      __m256 c0 = LoadTile<kMode>(o0);
+      __m256 c1 = LoadTile<kMode>(o1);
+      __m256 c2 = LoadTile<kMode>(o2);
+      __m256 c3 = LoadTile<kMode>(o3);
       const float* bp = b + j;
       for (int p = 0; p < k; ++p, bp += n) {
         const __m256 bv = _mm256_loadu_ps(bp);
@@ -132,21 +159,21 @@ void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
         c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2[p]), bv));
         c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3[p]), bv));
       }
-      _mm256_storeu_ps(o0, c0);
-      _mm256_storeu_ps(o1, c1);
-      _mm256_storeu_ps(o2, c2);
-      _mm256_storeu_ps(o3, c3);
+      StoreTile<kMode>(o0, c0);
+      StoreTile<kMode>(o1, c1);
+      StoreTile<kMode>(o2, c2);
+      StoreTile<kMode>(o3, c3);
     }
     for (; i < m; ++i) {
       const float* ai = row_of(a, i, k);
       float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      __m256 c = kAccumulate ? _mm256_loadu_ps(oi) : _mm256_setzero_ps();
+      __m256 c = LoadTile<kMode>(oi);
       const float* bp = b + j;
       for (int p = 0; p < k; ++p, bp += n) {
         c = _mm256_add_ps(c, _mm256_mul_ps(_mm256_set1_ps(ai[p]),
                                            _mm256_loadu_ps(bp)));
       }
-      _mm256_storeu_ps(oi, c);
+      StoreTile<kMode>(oi, c);
     }
   }
   for (; j < n; ++j) {
@@ -160,10 +187,10 @@ void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
       float* o1 = o0 + n;
       float* o2 = o1 + n;
       float* o3 = o2 + n;
-      float c0 = kAccumulate ? *o0 : 0.0f;
-      float c1 = kAccumulate ? *o1 : 0.0f;
-      float c2 = kAccumulate ? *o2 : 0.0f;
-      float c3 = kAccumulate ? *o3 : 0.0f;
+      float c0 = LoadScalar<kMode>(o0);
+      float c1 = LoadScalar<kMode>(o1);
+      float c2 = LoadScalar<kMode>(o2);
+      float c3 = LoadScalar<kMode>(o3);
       const float* bp = b + j;
       for (int p = 0; p < k; ++p, bp += n) {
         const float bj = *bp;
@@ -172,34 +199,121 @@ void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
         c2 += a2[p] * bj;
         c3 += a3[p] * bj;
       }
-      *o0 = c0;
-      *o1 = c1;
-      *o2 = c2;
-      *o3 = c3;
+      StoreScalar<kMode>(o0, c0);
+      StoreScalar<kMode>(o1, c1);
+      StoreScalar<kMode>(o2, c2);
+      StoreScalar<kMode>(o3, c3);
     }
     for (; i < m; ++i) {
       const float* ai = row_of(a, i, k);
       float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float c = kAccumulate ? *oi : 0.0f;
+      float c = LoadScalar<kMode>(oi);
       const float* bp = b + j;
       for (int p = 0; p < k; ++p, bp += n) {
         c += ai[p] * *bp;
       }
-      *oi = c;
+      StoreScalar<kMode>(oi, c);
     }
   }
+}
+
+// ((a0 b0 + a1 b1) + a2 b2) + a3 b3 over the 8 columns at b, b + n,
+// b + 2n and b + 3n: the weight-gradient scalar loop's 4-row p-block.
+__m256 Block4(__m256 a0, __m256 a1, __m256 a2, __m256 a3, const float* b,
+              size_t n) {
+  __m256 t = _mm256_mul_ps(a0, _mm256_loadu_ps(b));
+  t = _mm256_add_ps(t, _mm256_mul_ps(a1, _mm256_loadu_ps(b + n)));
+  t = _mm256_add_ps(t, _mm256_mul_ps(a2, _mm256_loadu_ps(b + 2 * n)));
+  return _mm256_add_ps(t, _mm256_mul_ps(a3, _mm256_loadu_ps(b + 3 * n)));
 }
 
 }  // namespace
 
 void GemmAccumulateRawAvx2(const float* a, const float* b, float* out,
                            int m, int k, int n) {
-  GemmAvx2Impl<true>(a, b, out, m, k, n);
+  GemmAvx2Impl<Mode::kAccumulate>(a, b, out, m, k, n);
 }
 
 void GemmOverwriteRawAvx2(const float* a, const float* b, float* out,
                           int m, int k, int n) {
-  GemmAvx2Impl<false>(a, b, out, m, k, n);
+  GemmAvx2Impl<Mode::kOverwrite>(a, b, out, m, k, n);
+}
+
+void GemmAddProductRawAvx2(const float* a, const float* bt, float* out,
+                           int m, int k, int n) {
+  GemmAvx2Impl<Mode::kAddProduct>(a, bt, out, m, k, n);
+}
+
+// Column-strip-outer like the forward kernels: one 16/8-column strip of
+// `b` (k rows) stays in L1 while every output row accumulates against
+// it, and each output tile stays in registers from its first p-block to
+// its store. Row i of the output reads column i of `a` (stride m).
+void GemmTransposeAAccumulateRawAvx2(const float* a, const float* b,
+                                     float* out, int m, int k, int n) {
+  const size_t sm = static_cast<size_t>(m);
+  const size_t sn = static_cast<size_t>(n);
+  const int k4 = k - k % 4;
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    for (int i = 0; i < m; ++i) {
+      float* o = out + static_cast<size_t>(i) * sn + j;
+      __m256 c0 = _mm256_loadu_ps(o);
+      __m256 c1 = _mm256_loadu_ps(o + 8);
+      const float* ap = a + i;
+      const float* bp = b + j;
+      int p = 0;
+      for (; p < k4; p += 4, ap += 4 * sm, bp += 4 * sn) {
+        const __m256 a0 = _mm256_set1_ps(ap[0]);
+        const __m256 a1 = _mm256_set1_ps(ap[sm]);
+        const __m256 a2 = _mm256_set1_ps(ap[2 * sm]);
+        const __m256 a3 = _mm256_set1_ps(ap[3 * sm]);
+        c0 = _mm256_add_ps(c0, Block4(a0, a1, a2, a3, bp, sn));
+        c1 = _mm256_add_ps(c1, Block4(a0, a1, a2, a3, bp + 8, sn));
+      }
+      for (; p < k; ++p, ap += sm, bp += sn) {
+        const __m256 av = _mm256_set1_ps(*ap);
+        c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
+        c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
+      }
+      _mm256_storeu_ps(o, c0);
+      _mm256_storeu_ps(o + 8, c1);
+    }
+  }
+  for (; j + 8 <= n; j += 8) {
+    for (int i = 0; i < m; ++i) {
+      float* o = out + static_cast<size_t>(i) * sn + j;
+      __m256 c = _mm256_loadu_ps(o);
+      const float* ap = a + i;
+      const float* bp = b + j;
+      int p = 0;
+      for (; p < k4; p += 4, ap += 4 * sm, bp += 4 * sn) {
+        c = _mm256_add_ps(
+            c, Block4(_mm256_set1_ps(ap[0]), _mm256_set1_ps(ap[sm]),
+                      _mm256_set1_ps(ap[2 * sm]), _mm256_set1_ps(ap[3 * sm]),
+                      bp, sn));
+      }
+      for (; p < k; ++p, ap += sm, bp += sn) {
+        c = _mm256_add_ps(c, _mm256_mul_ps(_mm256_set1_ps(*ap),
+                                           _mm256_loadu_ps(bp)));
+      }
+      _mm256_storeu_ps(o, c);
+    }
+  }
+  for (; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      float* o = out + static_cast<size_t>(i) * sn + j;
+      float c = *o;
+      const float* ap = a + i;
+      const float* bp = b + j;
+      int p = 0;
+      for (; p < k4; p += 4, ap += 4 * sm, bp += 4 * sn) {
+        c += ap[0] * bp[0] + ap[sm] * bp[sn] + ap[2 * sm] * bp[2 * sn] +
+             ap[3 * sm] * bp[3 * sn];
+      }
+      for (; p < k; ++p, ap += sm, bp += sn) c += *ap * *bp;
+      *o = c;
+    }
+  }
 }
 
 void EwAddAvx2(const float* a, const float* b, float* out, int n) {
@@ -260,6 +374,16 @@ void GemmAccumulateRawAvx2(const float*, const float*, float*, int, int,
 
 void GemmOverwriteRawAvx2(const float*, const float*, float*, int, int,
                           int) {
+  LEAD_CHECK(false);  // dispatch bug: called without AVX2 support
+}
+
+void GemmAddProductRawAvx2(const float*, const float*, float*, int, int,
+                           int) {
+  LEAD_CHECK(false);  // dispatch bug: called without AVX2 support
+}
+
+void GemmTransposeAAccumulateRawAvx2(const float*, const float*, float*, int,
+                                     int, int) {
   LEAD_CHECK(false);  // dispatch bug: called without AVX2 support
 }
 

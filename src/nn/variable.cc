@@ -1,6 +1,6 @@
 #include "nn/variable.h"
 
-#include <unordered_set>
+#include <deque>
 #include <utility>
 
 #include "common/check.h"
@@ -25,6 +25,50 @@ Variable Variable::Parameter(Matrix value) {
 
 namespace {
 thread_local bool no_grad_mode = false;
+
+// Node's fields without the visited mark: the mark must fit in padding.
+struct NodeWithoutVisitedMark {
+  Matrix value;
+  Matrix grad;
+  bool requires_grad;
+  std::vector<std::shared_ptr<internal::Node>> parents;
+  std::function<void(const Matrix& out_grad)> backward;
+#ifdef LEAD_CHECK_SHAPES
+  const char* op_name;
+  bool backward_consumed;
+#endif
+};
+static_assert(sizeof(internal::Node) == sizeof(NodeWithoutVisitedMark),
+              "Node::visited must not grow Node");
+
+// State of the Backward() pass running on this thread: the weight
+// transposes handed out by PassTranspose, in first-use order. A deque
+// keeps handed-out pointers valid as it grows; a model has few enough
+// weights that a linear scan beats hashing.
+class BackwardPass {
+ public:
+  BackwardPass() : previous_(std::exchange(active_, this)) {}
+  ~BackwardPass() { active_ = previous_; }
+  BackwardPass(const BackwardPass&) = delete;
+  BackwardPass& operator=(const BackwardPass&) = delete;
+
+  static BackwardPass* active() { return active_; }
+
+  const Matrix* Transpose(const internal::Node* node) {
+    for (const auto& [cached, transposed] : transposes_) {
+      if (cached == node) return &transposed;
+    }
+    return &transposes_.emplace_back(node, Transposed(node->value)).second;
+  }
+
+ private:
+  static thread_local BackwardPass* active_;
+  BackwardPass* previous_;
+  std::deque<std::pair<const internal::Node*, Matrix>> transposes_;
+};
+
+thread_local BackwardPass* BackwardPass::active_ = nullptr;
+
 }  // namespace
 
 NoGradGuard::NoGradGuard() : previous_(no_grad_mode) {
@@ -34,6 +78,14 @@ NoGradGuard::~NoGradGuard() { no_grad_mode = previous_; }
 
 namespace internal {
 bool NoGradEnabled() { return no_grad_mode; }
+
+const Matrix* PassTranspose(const Node* node) {
+  BackwardPass* pass = BackwardPass::active();
+  if (pass == nullptr || !node->parents.empty() || !GemmSimdAvailable()) {
+    return nullptr;
+  }
+  return pass->Transpose(node);
+}
 }  // namespace internal
 
 Variable Variable::FromOp(
@@ -86,21 +138,22 @@ void Backward(const Variable& root) {
 
   // Iterative post-order DFS to produce a topological order (parents
   // before children in `order` after the walk; we then run in reverse).
+  // Every node the walk marks reaches `order`, which clears the marks.
   std::vector<internal::Node*> order;
-  std::unordered_set<internal::Node*> visited;
   struct Frame {
     internal::Node* node;
     size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({root.node(), 0});
-  visited.insert(root.node());
+  root.node()->visited = true;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       internal::Node* parent =
           frame.node->parents[frame.next_parent++].get();
-      if (parent->requires_grad && visited.insert(parent).second) {
+      if (parent->requires_grad && !parent->visited) {
+        parent->visited = true;
         stack.push_back({parent, 0});
       }
     } else {
@@ -109,8 +162,13 @@ void Backward(const Variable& root) {
     }
   }
 
-  for (internal::Node* node : order) node->EnsureGrad();
+  for (internal::Node* node : order) {
+    node->visited = false;
+    node->EnsureGrad();
+  }
   root.node()->grad.Fill(1.0f);
+
+  BackwardPass pass;
 
   // `order` lists parents before children; reverse order visits each node
   // after all of its consumers have contributed to its gradient.

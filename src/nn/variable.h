@@ -23,6 +23,13 @@ struct Node {
   Matrix value;
   Matrix grad;  // allocated lazily, same shape as value
   bool requires_grad = false;
+  // Backward()'s visited mark: set by its graph walk and cleared again
+  // before the closures run. It fills padding after requires_grad, so it
+  // costs no memory (every forward op allocates a Node, inference
+  // included). Two threads must never run Backward() over graphs that
+  // share a requires-grad node; gradient shards each use their own module
+  // replica (core/grad_parallel.cc).
+  bool visited = false;
   std::vector<std::shared_ptr<Node>> parents;
   // Scatters `out_grad` (same shape as value) into the parents' grads.
   // Null for leaves.
@@ -112,6 +119,17 @@ class NoGradGuard {
 namespace internal {
 // True while at least one NoGradGuard is alive on this thread.
 bool NoGradEnabled();
+
+// The transpose of leaf `node`'s value (a weight) for the Backward() pass
+// running on this thread, for MatMulTransposeBAccumulate's `b_t`. It is
+// built on first request and freed when the pass returns, so an unrolled
+// sequence multiplying by one weight at every step transposes it once
+// per pass, and an in-place update between passes (an optimizer step)
+// can never meet a stale copy. Null outside a pass, for nodes with
+// parents (used once; not worth keeping), and on hosts where
+// MatMulTransposeBAccumulate runs the scalar loop, which reads b itself.
+// The pointer stays valid until the pass ends.
+const Matrix* PassTranspose(const Node* node);
 }  // namespace internal
 
 }  // namespace lead::nn

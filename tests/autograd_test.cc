@@ -1,9 +1,11 @@
 // Unit tests for the autograd engine and tensor ops.
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "nn/matrix.h"
 #include "nn/ops.h"
 #include "nn/variable.h"
@@ -262,6 +264,33 @@ TEST(OpsTest, DiamondGraphAccumulatesBothPaths) {
   Backward(Sum(Mul(x, x)));
   EXPECT_FLOAT_EQ(x.grad().at(0, 0), 6.0f);
   EXPECT_FLOAT_EQ(x.grad().at(0, 1), -4.0f);
+}
+
+TEST(OpsTest, InPlaceWeightUpdateIsSeenByTheNextBackward) {
+  // MatMul's input gradient reads a transpose of its weight that Backward
+  // builds once per pass. Change W in place between passes, as an
+  // optimizer step does: the next pass must use the new value, so W's
+  // gradient equals, bit for bit, that of a fresh Parameter holding it.
+  Rng rng(11);
+  const Variable x = Variable::Constant(Matrix::Uniform(5, 16, 1.0f, &rng));
+  Variable w = Variable::Parameter(Matrix::Uniform(16, 16, 0.5f, &rng));
+  const auto loss = [&x](const Variable& weight) {
+    return Sum(MatMul(MatMul(x, weight), weight));
+  };
+  Backward(loss(w));
+
+  const Matrix updated = Matrix::Uniform(16, 16, 0.5f, &rng);
+  float* values = w.mutable_value().data();
+  for (int i = 0; i < updated.size(); ++i) values[i] = updated.data()[i];
+  w.ZeroGrad();
+  Backward(loss(w));
+
+  const Variable fresh = Variable::Parameter(updated);
+  Backward(loss(fresh));
+  ASSERT_TRUE(w.grad().SameShape(fresh.grad()));
+  EXPECT_EQ(std::memcmp(w.grad().data(), fresh.grad().data(),
+                        sizeof(float) * fresh.grad().size()),
+            0);
 }
 
 TEST(OpsTest, DeepChainGradient) {
