@@ -1546,6 +1546,20 @@ Status LeadModel::DeserializeModel(std::istream& in) {
   if (stored != computed) {
     return IoError("model header CRC mismatch (corrupted file)");
   }
+  // A CRC only proves the bytes are the ones written. Detect applies the
+  // normalizer to kFeatureDims-wide rows and FromMoments cannot repair a
+  // NaN std, so a header failing either check would abort or poison the
+  // first Detect instead of failing here.
+  if (dims != static_cast<uint32_t>(kFeatureDims)) {
+    return InvalidArgumentError(
+        "model normalizer width " + std::to_string(dims) +
+        " does not match the feature width " + std::to_string(kFeatureDims));
+  }
+  const auto finite = [](float v) { return std::isfinite(v); };
+  if (!std::all_of(mean.begin(), mean.end(), finite) ||
+      !std::all_of(std_dev.begin(), std_dev.end(), finite)) {
+    return InvalidArgumentError("model normalizer moments are not finite");
+  }
   normalizer_ =
       nn::ZScoreNormalizer::FromMoments(std::move(mean), std::move(std_dev));
   LEAD_RETURN_IF_ERROR(nn::LoadParameters(autoencoder_.get(), in));

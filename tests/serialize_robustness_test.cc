@@ -1,15 +1,24 @@
 // Checkpoint durability: CRC-32 detection of truncation and bit rot,
 // atomic file writes, shape validation — driven through the named fault
 // points of common/fault.h.
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "core/features.h"
+#include "core/lead.h"
+#include "eval/harness.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
 
@@ -173,6 +182,124 @@ TEST_F(SerializeRobustnessTest, TransientTornWriteHealsByRetry) {
   ASSERT_TRUE(nn::LoadParametersFromFile(&restored, path).ok());
   ExpectSameValues(model, restored);
   std::remove(path.c_str());
+}
+
+// LeadModel files whose normalizer header passes its CRC but not its
+// semantics. The header is magic (8 bytes), version (u32), width (u32),
+// mean and std (width floats each), then the CRC-32 of all of it; the
+// module sections follow.
+class ModelHeaderTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    eval::ExperimentConfig config = eval::DefaultConfig(1.0);
+    config.world.num_background_pois = 1500;
+    config.dataset.num_trajectories = 40;
+    config.dataset.num_trucks = 20;
+    config.lead.train.autoencoder_epochs = 0;
+    config.lead.train.detector_epochs = 0;
+    options_ = config.lead;
+    auto data = eval::BuildExperiment(config);
+    ASSERT_TRUE(data.ok()) << data.status();
+    core::LeadModel model(options_);
+    ASSERT_TRUE(model
+                    .Train(data->TrainLabeled(), data->ValLabeled(),
+                           data->world->poi_index(), nullptr)
+                    .ok());
+    const std::string path = ::testing::TempDir() + "/header_source.model";
+    ASSERT_TRUE(model.Save(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+  }
+
+  static uint32_t SavedWidth() {
+    uint32_t width = 0;
+    std::memcpy(&width, bytes_.data() + 12, sizeof(width));
+    return width;
+  }
+
+  static std::vector<float> SavedMoment(int which) {
+    std::vector<float> moment(SavedWidth());
+    std::memcpy(moment.data(),
+                bytes_.data() + 16 + which * SavedWidth() * sizeof(float),
+                SavedWidth() * sizeof(float));
+    return moment;
+  }
+
+  // The saved model with its normalizer moments replaced (any width) and
+  // the header re-sealed with a valid CRC; module sections unchanged.
+  static std::string Resealed(const std::vector<float>& mean,
+                              const std::vector<float>& std_dev) {
+    const size_t old_header = 16 + 2 * SavedWidth() * sizeof(float);
+    std::string header = bytes_.substr(0, 12);
+    const uint32_t width = static_cast<uint32_t>(mean.size());
+    header.append(reinterpret_cast<const char*>(&width), sizeof(width));
+    header.append(reinterpret_cast<const char*>(mean.data()),
+                  mean.size() * sizeof(float));
+    header.append(reinterpret_cast<const char*>(std_dev.data()),
+                  std_dev.size() * sizeof(float));
+    const uint32_t crc = Crc32(header.data(), header.size());
+    header.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    return header + bytes_.substr(old_header + sizeof(crc));
+  }
+
+  // Writes `bytes` to a file and loads it into a fresh model.
+  static Status LoadBytes(const std::string& bytes) {
+    const std::string path = ::testing::TempDir() + "/header_edit.model";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    core::LeadModel model(options_);
+    const Status status = model.Load(path);
+    std::remove(path.c_str());
+    return status;
+  }
+
+  static core::LeadOptions options_;
+  static std::string bytes_;
+};
+
+core::LeadOptions ModelHeaderTest::options_;
+std::string ModelHeaderTest::bytes_;
+
+TEST_F(ModelHeaderTest, ResealedOriginalHeaderLoads) {
+  ASSERT_EQ(SavedWidth(), static_cast<uint32_t>(core::kFeatureDims));
+  const std::string resealed = Resealed(SavedMoment(0), SavedMoment(1));
+  EXPECT_EQ(resealed, bytes_);
+  EXPECT_TRUE(LoadBytes(resealed).ok());
+}
+
+TEST_F(ModelHeaderTest, WrongWidthWithValidCrcIsRejected) {
+  // Width 31 against the 32-wide feature rows: without the load-time
+  // check this loads "ok" and the first Detect aborts in
+  // ZScoreNormalizer::Apply.
+  std::vector<float> mean = SavedMoment(0);
+  std::vector<float> std_dev = SavedMoment(1);
+  mean.resize(31);
+  std_dev.resize(31);
+  const Status status = LoadBytes(Resealed(mean, std_dev));
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST_F(ModelHeaderTest, NonFiniteMomentsWithValidCrcAreRejected) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> mean = SavedMoment(0);
+  mean[3] = nan;
+  Status status = LoadBytes(Resealed(mean, SavedMoment(1)));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+
+  // FromMoments clamps std to a minimum, but max(NaN, min) is NaN.
+  std::vector<float> std_dev = SavedMoment(1);
+  std_dev[0] = nan;
+  status = LoadBytes(Resealed(SavedMoment(0), std_dev));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+
+  std_dev[0] = std::numeric_limits<float>::infinity();
+  status = LoadBytes(Resealed(SavedMoment(0), std_dev));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
 }
 
 }  // namespace
