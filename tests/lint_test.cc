@@ -93,6 +93,7 @@ TEST_F(LintTest, EveryRuleFiresOnItsFixture) {
   ExpectViolation("bad_signal_safety.cc", "signal-safety", 13);
   ExpectViolation("bad_signal_safety.cc", "signal-safety", 14);
   ExpectViolation("bad_signal_safety.cc", "signal-safety", 15);
+  ExpectViolation("bad_libm_in_nn.cc", "libm-in-nn", 6, "--lib");
 }
 
 TEST_F(LintTest, SignalSafetyIsGatedByTheScopeMarkerNotTheLibFlag) {
@@ -178,6 +179,26 @@ TEST_F(LintTest, IoUnboundedLoopSparesPolledAndAllowedLoops) {
   EXPECT_EQ(LintFixture("bad_io_unbounded_loop.cc", &out), 0) << out;
 }
 
+TEST_F(LintTest, LibmInNnFlagsEveryFamilyAndSparesLookalikes) {
+  // Every call in the bad fixture fires: std::-qualified, bare, the f
+  // suffix, log1p, the global ::, expm1f and a bare call after return.
+  std::string out;
+  EXPECT_EQ(LintFixture("bad_libm_in_nn.cc", &out, "--lib"), 1);
+  for (const char* line : {":6 ", ":7 ", ":8 ", ":9 ", ":10 ", ":14 "}) {
+    EXPECT_NE(out.find(std::string(line) + "libm-in-nn"), std::string::npos)
+        << line << " in:\n" << out;
+  }
+  // Declarations, member calls, other namespaces, identifiers that are
+  // not called and project vmath calls stay quiet; the allow marker
+  // suppresses.
+  EXPECT_EQ(LintFixture("clean_libm_in_nn.cc", &out, "--lib"), 0) << out;
+  EXPECT_EQ(LintFixture("allowed_libm_in_nn.cc", &out, "--lib --report-allows"),
+            0)
+      << out;
+  // Gated to src/nn (or --lib): the same calls pass as tool/test code.
+  EXPECT_EQ(LintFixture("bad_libm_in_nn.cc", &out), 0) << out;
+}
+
 TEST_F(LintTest, MatrixInKernelSparesNonKernelsAndAllowedLines) {
   // The fixture's allow-marked kernel (line 28) and its plain helper
   // (line 35) must not be reported; only the bare kernel temp is.
@@ -217,7 +238,8 @@ TEST_F(LintTest, ListRulesCoversEveryRule) {
         "discarded-status", "raw-new", "raw-delete", "float-eq",
         "matrix-in-kernel", "cout-in-lib", "exit-in-lib", "stderr",
         "pragma-once", "io-unbounded-loop", "strategy-chunking",
-        "status-path", "lock-scope", "poll-coverage", "signal-safety"}) {
+        "status-path", "lock-scope", "poll-coverage", "signal-safety",
+        "libm-in-nn"}) {
     EXPECT_NE(out.find(rule), std::string::npos) << "missing rule " << rule;
   }
 }
