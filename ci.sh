@@ -9,8 +9,10 @@
 # on PATH), a fuzz stage over the io parsers (libFuzzer for 30s per
 # target under clang, standalone corpus replay otherwise), a
 # -DLEAD_CHECK_SHAPES=ON build running the nn/batch/autograd
-# suites plus the contract death tests, a fault-injection pass (explicit
-# -DLEAD_FAULT_INJECTION=ON build running the robustness and chaos
+# suites plus the contract death tests, an exhaustive vmath stage (all
+# 2^32 float inputs through Exp/Tanh/Sigmoid/Log: error bounds, pinned
+# semantics and scalar == AVX2 == AVX-512 bits), a fault-injection pass
+# (explicit -DLEAD_FAULT_INJECTION=ON build running the robustness and chaos
 # suites, then re-running the env-armed degradation test under each
 # LEAD_FAULT chaos point), an
 # observability pass (the lead and parity suites traced via the
@@ -112,6 +114,13 @@ for t in "${SHAPE_TESTS[@]}"; do
   "./build-shapes/tests/$t"
 done
 
+echo "=== vmath: exhaustive 2^32-input check of the transcendentals ==="
+# Each vmath function is a pure per-element map, so equality on every
+# float input proves the nn kernels (and the golden fixtures) independent
+# of the ISA dispatch picks. Minutes on 4 cores.
+./build/tests/vmath_test --gtest_also_run_disabled_tests \
+  --gtest_filter='VmathExhaustive.*'
+
 echo "=== fault injection: robustness suites with LEAD_FAULT_INJECTION=ON ==="
 cmake -B build-fault -S . -DLEAD_FAULT_INJECTION=ON >/dev/null
 FAULT_TESTS=(serialize_robustness_test resilience_test parallel_parity_test \
@@ -205,8 +214,8 @@ cmake -B build-asan -S . \
 # golden_detect_test trains 1+1 epochs, so the SIMD gradient kernels'
 # tails and nn::Backward's per-pass transpose cache run under the
 # sanitizers on a real training path.
-NN_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
-          ops_reference_test batch_test io_test gpx_test \
+NN_TESTS=(matrix_test vmath_test autograd_test layers_test optim_test \
+          optim2_test ops_reference_test batch_test io_test gpx_test \
           serialize_robustness_test golden_detect_test)
 cmake --build build-asan -j --target "${NN_TESTS[@]}"
 for t in "${NN_TESTS[@]}"; do
