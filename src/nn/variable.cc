@@ -79,6 +79,14 @@ NoGradGuard::~NoGradGuard() { no_grad_mode = previous_; }
 namespace internal {
 bool NoGradEnabled() { return no_grad_mode; }
 
+bool KeepsBackward(std::span<const Variable> parents) {
+  if (no_grad_mode) return false;
+  for (const Variable& p : parents) {
+    if (p.requires_grad()) return true;
+  }
+  return false;
+}
+
 const Matrix* PassTranspose(const Node* node) {
   BackwardPass* pass = BackwardPass::active();
   if (pass == nullptr || !node->parents.empty() || !GemmSimdAvailable()) {
@@ -108,20 +116,13 @@ Variable Variable::FromOp(
 #else
   (void)op_name;
 #endif
-  if (no_grad_mode) return Variable(std::move(node));
-  for (const Variable& p : parents) {
-    if (p.requires_grad()) {
-      node->requires_grad = true;
-      break;
-    }
+  if (!internal::KeepsBackward(parents)) return Variable(std::move(node));
+  node->requires_grad = true;
+  node->parents.reserve(parents.size());
+  for (Variable& p : parents) {
+    node->parents.push_back(p.shared_node());
   }
-  if (node->requires_grad) {
-    node->parents.reserve(parents.size());
-    for (Variable& p : parents) {
-      node->parents.push_back(p.shared_node());
-    }
-    node->backward = std::move(backward);
-  }
+  node->backward = std::move(backward);
   return Variable(std::move(node));
 }
 

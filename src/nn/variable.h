@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -62,10 +63,11 @@ class Variable {
   // ZeroGrad().
   [[nodiscard]] static Variable Parameter(Matrix value);
   // Used by ops: a node computed from `parents` with the given backward
-  // closure. Requires grad iff any parent does; the closure may be empty
-  // when it does not. `op_name` must point at static storage; under
-  // LEAD_CHECK_SHAPES it names the op in contract-violation reports and
-  // the output value is scanned for the first non-finite element.
+  // closure. Requires grad, and keeps the closure and the parents, iff
+  // internal::KeepsBackward(parents); the closure may be empty otherwise.
+  // `op_name` must point at static storage; under LEAD_CHECK_SHAPES it
+  // names the op in contract-violation reports and the output value is
+  // scanned for the first non-finite element.
   [[nodiscard]] static Variable FromOp(
       Matrix value, std::vector<Variable> parents,
       std::function<void(const Matrix& out_grad)> backward,
@@ -119,6 +121,12 @@ class NoGradGuard {
 namespace internal {
 // True while at least one NoGradGuard is alive on this thread.
 bool NoGradEnabled();
+
+// True when Variable::FromOp keeps the backward closure of an op with
+// these inputs: no NoGradGuard is alive and some input requires grad.
+// Ops whose closure snapshots a tensor build it only then, so inference
+// pays no copy.
+bool KeepsBackward(std::span<const Variable> parents);
 
 // The transpose of leaf `node`'s value (a weight) for the Backward() pass
 // running on this thread, for MatMulTransposeBAccumulate's `b_t`. It is
